@@ -177,8 +177,10 @@ impl RiccatiSkeleton {
             for sign in [1.0, -1.0] {
                 for t in 0..beta2 {
                     for j in 0..n {
-                        qp = qp
-                            .inequality(SparseRow::from_entries(vec![(t * nb + nc + j, sign)]), 0.0);
+                        qp = qp.inequality(
+                            SparseRow::from_entries(vec![(t * nb + nc + j, sign)]),
+                            0.0,
+                        );
                     }
                 }
             }
