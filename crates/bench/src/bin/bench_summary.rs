@@ -1,11 +1,10 @@
 //! `bench_summary` — machine-readable before/after numbers for the MPC
 //! solve pipeline, written to `BENCH_mpc.json`.
 //!
-//! Measurements cover all three solver backends
-//! ([`SolverBackend::CondensedDense`], [`SolverBackend::BandedRiccati`],
-//! and [`SolverBackend::Sharded`] with 8 shards) on the synthetic
-//! price-flip fleets of `ext_scaling`, up to the 64×128 fleet only the
-//! sharded backend reaches within the step budget:
+//! Measurements cover both solver backends
+//! ([`SolverBackend::CondensedDense`] and [`SolverBackend::BandedRiccati`])
+//! on the synthetic price-flip fleets of `ext_scaling`, up to the 32×64
+//! fleet:
 //!
 //! * **single_step** — median wall-clock of one `MpcController::plan`
 //!   call, cold (controller reset before every call, so the structure
@@ -37,13 +36,9 @@
 //! Run with:
 //! `cargo run --release -p idc-bench --bin bench_summary [-- <output.json>]`
 //!
-//! * **sharded_agreement** — the same lockstep comparison between the
-//!   banded and sharded backends, gated at ≤ 1e-6 (the consensus outer
-//!   loop stops on residuals rather than solving exactly).
-//!
 //! `-- --smoke` runs the 3×5 case only, asserts lockstep backend cost
-//! agreement (dense-vs-banded ≤ 1e-8, banded-vs-sharded ≤ 1e-6) and
-//! writes nothing — the CI regression gate.
+//! agreement (dense-vs-banded ≤ 1e-8) and writes nothing — the CI
+//! regression gate.
 //!
 //! `--sizes 3x5,12x24` overrides the measured fleet sizes,
 //! `--max-dense-vars N` caps the dense backend (sizes whose ΔU variable
@@ -73,40 +68,19 @@ use idc_market::tariff::DemandCharge;
 use idc_market::trace::PriceTrace;
 use idc_storage::{paper_test_battery, StorageFleet};
 
-const SIZES: [(usize, usize); 7] = [
-    (3, 5),
-    (4, 8),
-    (6, 12),
-    (8, 15),
-    (12, 24),
-    (32, 64),
-    (64, 128),
-];
-const BACKENDS: [SolverBackend; 3] = [
-    SolverBackend::CondensedDense,
-    SolverBackend::BandedRiccati,
-    SolverBackend::sharded(BENCH_SHARDS),
-];
-/// Shard count of the sharded backend's bench rows (clamped to the fleet
-/// size on the small cases).
-const BENCH_SHARDS: usize = 8;
+const SIZES: [(usize, usize); 6] = [(3, 5), (4, 8), (6, 12), (8, 15), (12, 24), (32, 64)];
+const BACKENDS: [SolverBackend; 2] = [SolverBackend::CondensedDense, SolverBackend::BandedRiccati];
 /// Backend cost agreement required by the smoke gate (the two backends
 /// solve the same strictly convex QP).
 const AGREEMENT_TOL: f64 = 1e-8;
-/// Sharded-vs-monolithic plan cost agreement: the consensus outer loop
-/// stops on residuals, so the gate is looser than the direct-solver one
-/// but still far below any cost signal the paper's experiments read.
-const SHARDED_AGREEMENT_TOL: f64 = 1e-6;
 /// Default `--max-dense-vars`: the dense backend refactors an O(vars³)
 /// Hessian per cold solve, so the big fleets (12×24 = 864 vars,
 /// 32×64 = 6144 vars) run banded-only unless the cap is raised.
 const DEFAULT_MAX_DENSE_VARS: usize = 600;
 /// Default `--max-step-ms`: a cell whose cold or warm step exceeds this
 /// wall-clock budget is aborted and recorded as skipped instead of
-/// stretching the sweep by hours — the monolithic backends' cold solve
-/// grows super-cubically in `N·C`, so the 64×128 fleet is only
-/// reachable by the sharded backend within the default budget (the
-/// 32×64 banded cold step, ~90 s, still fits).
+/// stretching the sweep by hours — the cold solve grows super-cubically
+/// in `N·C` (the 32×64 banded cold step, ~90 s, still fits).
 const DEFAULT_MAX_STEP_MS: f64 = 120_000.0;
 /// ΔU horizon used by `MpcConfig::default()` (sizes are capped by
 /// `n·c·horizon` before any controller exists).
@@ -119,16 +93,6 @@ fn backend_label(b: SolverBackend) -> &'static str {
     match b {
         SolverBackend::CondensedDense => "condensed_dense",
         SolverBackend::BandedRiccati => "banded_riccati",
-        SolverBackend::Sharded { .. } => "sharded",
-    }
-}
-
-/// Shard count of a backend's rows: 0 for the monolithic backends, so the
-/// JSON key `size × backend × shards` stays total.
-fn backend_shards(b: SolverBackend) -> usize {
-    match b {
-        SolverBackend::Sharded { shards, .. } => shards,
-        _ => 0,
     }
 }
 
@@ -436,65 +400,6 @@ fn lockstep_agreement(n: usize, c: usize) -> AgreementRow {
     }
 }
 
-/// Sharded-vs-monolithic lockstep agreement: banded reference, banded
-/// plan drives the trajectory, and the sharded backend solves the same
-/// `MpcProblem` every step. `rel_diff` gates at [`SHARDED_AGREEMENT_TOL`]
-/// in the smoke run and the CI `shard-equivalence` step.
-struct ShardedAgreementRow {
-    n: usize,
-    c: usize,
-    shards: usize,
-    steps: usize,
-    banded_cost: f64,
-    sharded_cost: f64,
-    rel_diff: f64,
-    worst_step: usize,
-}
-
-fn lockstep_sharded_agreement(n: usize, c: usize) -> ShardedAgreementRow {
-    const STEPS: usize = 25;
-    const FLIP_AT: usize = 10;
-    let backend = SolverBackend::sharded(BENCH_SHARDS);
-    let mut banded = MpcController::new(mpc_config(SolverBackend::BandedRiccati));
-    let mut sharded = MpcController::new(mpc_config(backend));
-    let mut prev = vec![0.0; n * c];
-    for i in 0..c {
-        prev[(n - 1) * c + i] = 10_000.0;
-    }
-    let plan_cost = |p: &idc_control::mpc::MpcPlan| -> f64 {
-        p.predicted_power_mw()
-            .iter()
-            .map(|row| row.iter().sum::<f64>())
-            .sum()
-    };
-    let (mut banded_sum, mut sharded_sum, mut max_rel) = (0.0f64, 0.0f64, 0.0f64);
-    let mut worst_step = 0usize;
-    for step in 0..STEPS {
-        let p = step_problem_at(n, c, prev.clone(), step >= FLIP_AT);
-        let pb = banded.plan(&p).expect("banded backend feasible");
-        let ps = sharded.plan(&p).expect("sharded backend feasible");
-        let (cb, cs) = (plan_cost(&pb), plan_cost(&ps));
-        banded_sum += cb;
-        sharded_sum += cs;
-        let rel = (cb - cs).abs() / cb.abs().max(1e-12);
-        if rel > max_rel {
-            max_rel = rel;
-            worst_step = step;
-        }
-        prev = pb.next_input().to_vec();
-    }
-    ShardedAgreementRow {
-        n,
-        c,
-        shards: BENCH_SHARDS,
-        steps: STEPS,
-        banded_cost: banded_sum,
-        sharded_cost: sharded_sum,
-        rel_diff: max_rel,
-        worst_step,
-    }
-}
-
 /// A measurement cell deliberately not run, recorded in the JSON so a
 /// missing row reads as a decision, not an omission.
 struct SkipRow {
@@ -620,27 +525,6 @@ fn run_smoke() -> Result<(), idc_core::Error> {
             a.worst_banded_cost,
         )));
     }
-    let sa = lockstep_sharded_agreement(n, c);
-    println!(
-        "lockstep sharded agreement over {} steps ({} shards): banded {:.9} vs \
-         sharded {:.9} (max step rel diff {:.3e} at step {})",
-        sa.steps, sa.shards, sa.banded_cost, sa.sharded_cost, sa.rel_diff, sa.worst_step
-    );
-    if sa.rel_diff > SHARDED_AGREEMENT_TOL {
-        return Err(idc_core::Error::Config(format!(
-            "sharded backend cost disagreement on the {}x{} case ({} shards): \
-             banded {:.12e} vs sharded {:.12e} differ by rel {:.3e} \
-             (> {SHARDED_AGREEMENT_TOL:.0e}) at step {} of {}",
-            sa.n,
-            sa.c,
-            sa.shards,
-            sa.banded_cost,
-            sa.sharded_cost,
-            sa.rel_diff,
-            sa.worst_step,
-            sa.steps,
-        )));
-    }
     println!("smoke OK");
     Ok(())
 }
@@ -743,13 +627,14 @@ fn main() -> Result<(), idc_core::Error> {
                 continue;
             }
             let vars = n * c * CONTROL_HORIZON;
-            let projected = last_cold
-                .iter()
-                .find(|(b, ..)| backend_label(*b) == backend_label(backend))
-                .map(|&(_, pvars, pcold)| {
-                    let ratio = vars as f64 / pvars.max(1) as f64;
-                    (pcold * ratio * ratio, pvars)
-                });
+            let projected =
+                last_cold
+                    .iter()
+                    .find(|(b, ..)| *b == backend)
+                    .map(|&(_, pvars, pcold)| {
+                        let ratio = vars as f64 / pvars.max(1) as f64;
+                        (pcold * ratio * ratio, pvars)
+                    });
             if let Some((est, pvars)) = projected.filter(|&(est, _)| est > max_step_ms) {
                 let reason = format!(
                     "projected cold step ~{est:.0} ms (quadratic scaling from the \
@@ -785,7 +670,7 @@ fn main() -> Result<(), idc_core::Error> {
                         s.warm_ms,
                         s.cold_ms / s.warm_ms.max(1e-9),
                     );
-                    last_cold.retain(|(b, ..)| backend_label(*b) != backend_label(backend));
+                    last_cold.retain(|(b, ..)| *b != backend);
                     last_cold.push((backend, s.vars, s.cold_ms));
                     single.push(s);
                     end_to_end.push(e);
@@ -842,58 +727,7 @@ fn main() -> Result<(), idc_core::Error> {
         );
         agree.push(a);
     }
-    println!("\nsharded agreement (lockstep vs banded, identical problems per step):");
-    let mut shard_agree = Vec::new();
-    for &(n, c) in &sizes {
-        // The comparison replays both backends in lockstep, so it only
-        // runs where both finished their single-step cells within the
-        // wall-clock budget.
-        let completed = |want_sharded: bool| {
-            single.iter().any(|s| {
-                s.n == n
-                    && s.c == c
-                    && matches!(s.backend, SolverBackend::Sharded { .. }) == want_sharded
-                    && (want_sharded || matches!(s.backend, SolverBackend::BandedRiccati))
-            })
-        };
-        if !(completed(false) && completed(true)) {
-            println!("  {n:>2}×{c:<2}: skipped (banded or sharded cell over --max-step-ms)");
-            skipped.push(SkipRow {
-                n,
-                c,
-                vars: n * c * CONTROL_HORIZON,
-                section: "sharded_agreement",
-                backend: None,
-                reason: format!(
-                    "banded or sharded single-step cell over --max-step-ms {max_step_ms:.0}"
-                ),
-            });
-            continue;
-        }
-        let a = lockstep_sharded_agreement(n, c);
-        println!(
-            "  {:>2}×{:<2}: banded {:.9} vs sharded {:.9} over {} steps, {} shards \
-             (max step rel diff {:.3e} at step {})",
-            a.n, a.c, a.banded_cost, a.sharded_cost, a.steps, a.shards, a.rel_diff, a.worst_step
-        );
-        if a.rel_diff > SHARDED_AGREEMENT_TOL {
-            return Err(idc_core::Error::Config(format!(
-                "sharded backend cost disagreement on the {n}x{c} case: rel {:.3e} \
-                 (> {SHARDED_AGREEMENT_TOL:.0e}) at step {} of {}",
-                a.rel_diff, a.worst_step, a.steps,
-            )));
-        }
-        shard_agree.push(a);
-    }
-
-    let json = render_json(
-        &single,
-        &end_to_end,
-        &storage_rows,
-        &agree,
-        &shard_agree,
-        &skipped,
-    );
+    let json = render_json(&single, &end_to_end, &storage_rows, &agree, &skipped);
     std::fs::write(&out_path, &json)
         .map_err(|e| idc_core::Error::Config(format!("cannot write {out_path}: {e}")))?;
     println!("\nwrote {out_path}");
@@ -910,14 +744,13 @@ fn main() -> Result<(), idc_core::Error> {
 fn push_e2e_json(s: &mut String, r: &EndToEndRow, last: bool) {
     s.push_str(&format!(
         "    {{\"idcs\": {}, \"portals\": {}, \"delta_u_vars\": {}, \"backend\": \"{}\", \
-         \"shards\": {}, \"cold_ms_per_step\": {:.3}, \"warm_ms_per_step\": {:.3}, \
+         \"cold_ms_per_step\": {:.3}, \"warm_ms_per_step\": {:.3}, \
          \"speedup\": {:.2}, \"warm_solve_fraction\": {:.3}, \"cost_rel_diff\": {:.3e}, \
          \"warm_total_cost\": {:.9},\n",
         r.n,
         r.c,
         r.vars,
         backend_label(r.backend),
-        backend_shards(r.backend),
         r.cold_ms_per_step,
         r.warm_ms_per_step,
         r.cold_ms_per_step / r.warm_ms_per_step.max(1e-9),
@@ -944,8 +777,7 @@ fn push_e2e_json(s: &mut String, r: &EndToEndRow, last: bool) {
          \"refinement_passes_per_step\": {:.3}, \"refactorizations_per_step\": {:.3}, \
          \"updates_applied_per_step\": {:.3}, \"downdates_applied_per_step\": {:.3}, \
          \"working_set_delta_per_step\": {:.3}, \"warm_seed_survival\": {:.4}, \
-         \"cold_fallbacks\": {}, \"outer_rounds_per_step\": {:.3}, \
-         \"consensus_residual_nano\": {}}}}}{}\n",
+         \"cold_fallbacks\": {}}}}}{}\n",
         per_step(r.stats.iterations),
         per_step(r.stats.constraints_added),
         per_step(r.stats.constraints_dropped),
@@ -958,8 +790,6 @@ fn push_e2e_json(s: &mut String, r: &EndToEndRow, last: bool) {
         per_step(r.stats.working_set_delta),
         r.stats.seed_survival(),
         r.stats.cold_fallbacks,
-        per_step(r.stats.outer_iterations),
-        r.stats.consensus_residual_nano,
         if last { "" } else { "," }
     ));
 }
@@ -969,7 +799,6 @@ fn render_json(
     end_to_end: &[EndToEndRow],
     storage_rows: &[EndToEndRow],
     agree: &[AgreementRow],
-    shard_agree: &[ShardedAgreementRow],
     skipped: &[SkipRow],
 ) -> String {
     let mut s = String::new();
@@ -993,24 +822,18 @@ fn render_json(
     );
     s.push_str(
         "    \"banded_riccati\": \"block-tridiagonal Hessian in cumulative-input space, \
-         banded Cholesky + Riccati-style block recursion, never forms the dense Hessian\",\n",
-    );
-    s.push_str(
-        "    \"sharded\": \"fleet partitioned into regional shards, per-shard banded MPC \
-         subproblems coordinated by exchange-ADMM on workload conservation and the peak \
-         budget; shards field gives the shard count (0 = monolithic)\"\n",
+         banded Cholesky + Riccati-style block recursion, never forms the dense Hessian\"\n",
     );
     s.push_str("  },\n");
     s.push_str("  \"single_step\": [\n");
     for (i, r) in single.iter().enumerate() {
         s.push_str(&format!(
             "    {{\"idcs\": {}, \"portals\": {}, \"delta_u_vars\": {}, \"backend\": \"{}\", \
-             \"shards\": {}, \"cold_ms\": {:.3}, \"warm_ms\": {:.3}, \"speedup\": {:.2}}}{}\n",
+             \"cold_ms\": {:.3}, \"warm_ms\": {:.3}, \"speedup\": {:.2}}}{}\n",
             r.n,
             r.c,
             r.vars,
             backend_label(r.backend),
-            backend_shards(r.backend),
             r.cold_ms,
             r.warm_ms,
             r.cold_ms / r.warm_ms.max(1e-9),
@@ -1069,28 +892,6 @@ fn render_json(
             a.banded_cost,
             a.rel_diff,
             if i + 1 < agree.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str(
-        "  \"sharded_agreement_mode\": \"lockstep: the banded plan drives the trajectory \
-         and the sharded backend solves the identical MpcProblem at every step; rel_diff \
-         gates at 1e-6 in CI (shard-equivalence)\",\n",
-    );
-    s.push_str("  \"sharded_agreement\": [\n");
-    for (i, a) in shard_agree.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"idcs\": {}, \"portals\": {}, \"shards\": {}, \"lockstep_steps\": {}, \
-             \"banded_lockstep_cost\": {:.9}, \"sharded_lockstep_cost\": {:.9}, \
-             \"max_step_rel_diff\": {:.3e}}}{}\n",
-            a.n,
-            a.c,
-            a.shards,
-            a.steps,
-            a.banded_cost,
-            a.sharded_cost,
-            a.rel_diff,
-            if i + 1 < shard_agree.len() { "," } else { "" }
         ));
     }
     s.push_str("  ]\n}\n");

@@ -16,9 +16,6 @@
 //!   (possibly budget-clamped) per-IDC power reference under workload
 //!   conservation, latency/capacity and non-negativity constraints, with
 //!   the input-rate penalty that smooths power demand,
-//! * [`sharded`] — the regional decomposition of that MPC: per-shard
-//!   banded subproblems coordinated by exchange ADMM on workload
-//!   conservation and projected dual ascent on the peak-power budget,
 //! * [`green`] — the green-aware reference LP (renewables-first load
 //!   placement, the Liu et al. \[6\] extension),
 //! * [`mod@reference`] — the control-reference optimizer (paper eq. 46, the
@@ -63,6 +60,5 @@ pub mod green;
 pub mod mpc;
 pub mod reference;
 pub mod riccati;
-pub mod sharded;
 pub mod stability;
 pub mod statespace;

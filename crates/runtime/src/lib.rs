@@ -19,7 +19,7 @@
 //! * [`lineage`] — per-tenant checkpoint directories with keep-last-K
 //!   compaction and startup GC of torn/corrupt files.
 //! * [`tenant`] — the multi-tenant manager: N independent control loops
-//!   scheduled over a thread-per-shard worker pool off a time-ordered
+//!   scheduled over a pool of worker threads off a time-ordered
 //!   ready queue, with admission control and per-tenant histograms.
 //! * [`metrics`] / [`http`] — an embedded metrics registry served over
 //!   hand-rolled HTTP/1.1.

@@ -85,24 +85,14 @@ impl StepperConfig {
     }
 }
 
-/// Parses a solver-backend label: `dense` (condensed dense active-set,
-/// the default), `banded` (banded Riccati) or `sharded[N]` (ADMM-style
-/// consensus across `N` shards). Returns `None` for anything else.
+/// Parses a solver-backend label: `banded` (banded Riccati, the default)
+/// or `dense` (condensed dense active-set). Returns `None` for anything
+/// else.
 pub fn parse_backend(label: &str) -> Option<SolverBackend> {
     match label {
         "dense" => Some(SolverBackend::CondensedDense),
         "banded" => Some(SolverBackend::BandedRiccati),
-        _ => {
-            let shards: usize = label
-                .strip_prefix("sharded[")?
-                .strip_suffix(']')?
-                .parse()
-                .ok()?;
-            if shards == 0 {
-                return None;
-            }
-            Some(SolverBackend::sharded(shards))
-        }
+        _ => None,
     }
 }
 
@@ -114,8 +104,15 @@ fn build_policy(scenario: &Scenario, backend: Option<&str>) -> Result<MpcPolicy>
         ..MpcPolicyConfig::default()
     };
     if let Some(label) = backend {
-        config.mpc.backend = parse_backend(label)
-            .ok_or_else(|| Error::Config(format!("unknown backend '{label}'")))?;
+        config.mpc.backend = parse_backend(label).ok_or_else(|| {
+            Error::Config(if label.starts_with("sharded[") {
+                // Checkpoints written before the regional decomposition
+                // was removed can still carry its label.
+                format!("backend '{label}': the sharded backend was retired; use 'banded'")
+            } else {
+                format!("unknown backend '{label}'")
+            })
+        })?;
     }
     Ok(MpcPolicy::new(config)?)
 }
@@ -313,14 +310,6 @@ impl Stepper {
             (
                 "idc_qp_cold_fallbacks_total",
                 "Warm-start attempts that failed and re-solved cold.",
-            ),
-            (
-                "idc_outer_iterations_total",
-                "Sharded-backend outer coordination rounds (zero for monolithic backends).",
-            ),
-            (
-                "idc_consensus_residual_nano",
-                "Last sharded solve's consensus primal residual, in nano-units (req/s scale).",
             ),
             (
                 "idc_qp_warm_seed_survival",
@@ -592,8 +581,6 @@ impl Stepper {
         m.set_counter("idc_qp_downdates_applied_total", stats.downdates_applied);
         m.set_counter("idc_qp_working_set_delta", stats.working_set_delta);
         m.set_counter("idc_qp_cold_fallbacks_total", stats.cold_fallbacks);
-        m.set_counter("idc_outer_iterations_total", stats.outer_iterations);
-        m.set_counter("idc_consensus_residual_nano", stats.consensus_residual_nano);
         m.set_gauge("idc_qp_warm_seed_survival", stats.seed_survival());
         m.set_gauge("idc_accumulated_cost_dollars", self.accumulated_cost);
         m.set_gauge("idc_feed_staleness_ticks", staleness as f64);
@@ -856,11 +843,7 @@ mod tests {
         use idc_core::SolverBackend;
         assert_eq!(parse_backend("dense"), Some(SolverBackend::CondensedDense));
         assert_eq!(parse_backend("banded"), Some(SolverBackend::BandedRiccati));
-        assert!(matches!(
-            parse_backend("sharded[3]"),
-            Some(SolverBackend::Sharded { shards: 3, .. })
-        ));
-        for bad in ["", "Dense", "sharded[0]", "sharded[x]", "sharded[2"] {
+        for bad in ["", "Dense", "sharded[3]", "sharded[x]", "sharded[2"] {
             assert_eq!(parse_backend(bad), None, "{bad:?} parsed");
         }
         let err = Stepper::new(StepperConfig {
@@ -874,7 +857,7 @@ mod tests {
     #[test]
     fn non_default_backend_survives_snapshot_restore() {
         let config = StepperConfig {
-            backend: Some("banded".into()),
+            backend: Some("dense".into()),
             ..StepperConfig::fault_free("smoothing", 2012)
         };
         let mut live = Stepper::new(config).unwrap();
@@ -882,12 +865,52 @@ mod tests {
             live.step_once().unwrap();
         }
         let snap = live.snapshot();
-        assert_eq!(snap.backend.as_deref(), Some("banded"));
+        assert_eq!(snap.backend.as_deref(), Some("dense"));
         let mut resumed = Stepper::restore(&snap).unwrap();
         while live.step_once().unwrap() {
             assert!(resumed.step_once().unwrap());
         }
         assert_eq!(live.snapshot(), resumed.snapshot());
+    }
+
+    #[test]
+    fn retired_sharded_label_fails_to_restore() {
+        let mut live = Stepper::new(StepperConfig::fault_free("smoothing", 2012)).unwrap();
+        live.step_once().unwrap();
+        let mut snap = live.snapshot();
+        snap.backend = Some("sharded[2]".into());
+        match Stepper::restore(&snap) {
+            Err(Error::Config(msg)) => {
+                assert!(
+                    msg.contains("sharded[2]") && msg.contains("retired"),
+                    "{msg}"
+                )
+            }
+            Err(other) => panic!("expected a config error, got {other}"),
+            Ok(_) => panic!("a sharded[2] snapshot restored"),
+        }
+    }
+
+    #[test]
+    fn snapshot_with_legacy_warm_multipliers_restores_bit_identically() {
+        // Snapshots written while the sharded backend existed carry a
+        // `warm_start.multipliers` array (empty for the monolithic
+        // backends). The key is ignored on restore.
+        let mut live = Stepper::new(StepperConfig::fault_free("smoothing", 2012)).unwrap();
+        for _ in 0..8 {
+            live.step_once().unwrap();
+        }
+        let json = live.snapshot().to_json().unwrap();
+        assert_eq!(json.matches("\"warm_start\":{").count(), 1, "{json}");
+        let legacy = json.replace("\"warm_start\":{", "\"warm_start\":{\"multipliers\":[],");
+        let mut resumed = Stepper::restore(&RuntimeSnapshot::from_json(&legacy).unwrap()).unwrap();
+        while live.step_once().unwrap() {
+            assert!(resumed.step_once().unwrap());
+        }
+        assert_eq!(
+            live.snapshot().to_json().unwrap(),
+            resumed.snapshot().to_json().unwrap()
+        );
     }
 
     #[test]
